@@ -104,9 +104,6 @@ func run() error {
 		return err
 	}
 	defer probe.Close()
-	if !probe.SupportsObjects() {
-		return fmt.Errorf("server at %s did not negotiate the kx05 object extension", target)
-	}
 
 	// Act 1: a named map, written concurrently. Creation is idempotent,
 	// so every client may race to create it.

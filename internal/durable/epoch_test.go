@@ -11,61 +11,97 @@ import (
 	"testing"
 )
 
-// encodeOpV1 builds a legacy pre-epoch op body (recTypeOpV1), as written
-// by servers from before records carried epochs.
-func encodeOpV1(r Record) []byte {
-	body := make([]byte, opBodyLenV1)
-	body[0] = recTypeOpV1
-	binary.BigEndian.PutUint64(body[1:], r.Session)
-	binary.BigEndian.PutUint64(body[9:], r.Seq)
-	binary.BigEndian.PutUint32(body[17:], r.Shard)
-	body[21] = byte(r.Kind)
-	binary.BigEndian.PutUint64(body[22:], uint64(r.Arg))
-	binary.BigEndian.PutUint64(body[30:], uint64(r.Val))
-	binary.BigEndian.PutUint64(body[38:], r.Ver)
-	return appendFrame(nil, body)
-}
-
 func TestOpRecordEpochRoundTrip(t *testing.T) {
 	want := Record{
 		Session: 7, Seq: 9, Shard: 3, Kind: OpSet, Arg: -4, Val: -4,
-		Ver: 12, Epoch: 5,
+		Ver: 12, Epoch: 5, OK: true,
 	}
 	body, n, err := decodeFrame(encodeOp(want), maxBody)
 	if err != nil {
 		t.Fatalf("decode frame: %v", err)
 	}
-	if n != recHeaderLen+opBodyLen {
-		t.Fatalf("frame consumed %d bytes, want %d", n, recHeaderLen+opBodyLen)
+	if n != recHeaderLen+opObjBodyLen {
+		t.Fatalf("frame consumed %d bytes, want %d", n, recHeaderLen+opObjBodyLen)
 	}
 	got, isRestart, err := parseBody(body)
 	if err != nil || isRestart {
 		t.Fatalf("parse: restart=%v err=%v", isRestart, err)
 	}
-	want.OK = true // legacy kinds decode with an OK verdict
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
 }
 
-func TestOpRecordLegacyDecodesEpochZero(t *testing.T) {
-	legacy := Record{
-		Session: 7, Seq: 9, Shard: 3, Kind: OpAdd, Arg: 2, Val: 6, Ver: 12,
+// legacyOpBody builds a root-register op body in one of the retired
+// fixed-width layouts: type 1 (no epoch, 46 bytes) or type 5 (trailing
+// epoch, 54 bytes).
+func legacyOpBody(typ byte) []byte {
+	body := []byte{typ}
+	body = binary.BigEndian.AppendUint64(body, 7)  // session
+	body = binary.BigEndian.AppendUint64(body, 9)  // seq
+	body = binary.BigEndian.AppendUint32(body, 3)  // shard
+	body = append(body, byte(OpAdd))               // kind
+	body = binary.BigEndian.AppendUint64(body, 2)  // arg
+	body = binary.BigEndian.AppendUint64(body, 6)  // val
+	body = binary.BigEndian.AppendUint64(body, 12) // ver
+	if typ == 5 {
+		body = binary.BigEndian.AppendUint64(body, 1) // epoch
 	}
-	body, _, err := decodeFrame(encodeOpV1(legacy), maxBody)
+	return body
+}
+
+// TestLegacyRecordTypesRefused: WAL bodies in the retired type-1 and
+// type-5 layouts are corruption, whether they arrive as a log frame, a
+// replicated body, or a sub-record of an atomic group.
+func TestLegacyRecordTypesRefused(t *testing.T) {
+	for _, typ := range []byte{1, 5} {
+		body, _, err := decodeFrame(appendFrame(nil, legacyOpBody(typ)), maxBody)
+		if err != nil {
+			t.Fatalf("type %d: frame: %v", typ, err)
+		}
+		if _, _, err := parseBody(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("type %d WAL body: got %v, want errCorrupt", typ, err)
+		}
+		if _, err := ParseRecordBody(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("type %d replicated body: got %v, want errCorrupt", typ, err)
+		}
+		group := []byte{recTypeAtomic, 0, 1}
+		group = binary.BigEndian.AppendUint16(group, uint16(len(body)))
+		group = append(group, body...)
+		if _, err := ParseRecordBody(group); !errors.Is(err, errCorrupt) {
+			t.Errorf("type %d inside an atomic group: got %v, want errCorrupt", typ, err)
+		}
+	}
+}
+
+// TestLegacyRecordTypeFailsRecovery: a retired-layout record refuses
+// recovery even as the last record of the last segment, where a torn
+// write would be truncated away: it is an old data directory, not a
+// crash artifact, and truncating it would silently drop its history.
+func TestLegacyRecordTypeFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir, Policy: SyncNever})
 	if err != nil {
-		t.Fatalf("decode frame: %v", err)
+		t.Fatal(err)
 	}
-	got, isRestart, err := parseBody(body)
-	if err != nil || isRestart {
-		t.Fatalf("parse: restart=%v err=%v", isRestart, err)
+	l.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("want one segment, got %v", segs)
 	}
-	if got.Epoch != 0 {
-		t.Fatalf("legacy record decoded with epoch %d, want 0", got.Epoch)
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy.OK = true
-	if !reflect.DeepEqual(got, legacy) {
-		t.Fatalf("round trip: got %+v, want %+v", got, legacy)
+	f.Write(appendFrame(nil, legacyOpBody(5)))
+	f.Close()
+	l, _, err = Open(Options{Dir: dir, Policy: SyncNever})
+	if err == nil {
+		l.Close()
+		t.Fatal("recovery accepted a type-5 record")
+	}
+	if !errors.Is(err, errCorrupt) {
+		t.Fatalf("recovery failed with %v, want errCorrupt", err)
 	}
 }
 
@@ -91,39 +127,47 @@ func TestStateImageEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeSnapshotV2 builds a legacy pre-epoch snapshot body (type 4):
-// same layout as the current one minus the per-shard epoch field.
-func encodeSnapshotV2(cover, markers uint64, shards map[uint32]ShardState) []byte {
-	ids := make([]uint32, 0, len(shards))
-	for id := range shards {
-		ids = append(ids, id)
+// legacySnapshotBody builds a one-shard snapshot image (shard 2, ver 8,
+// val 80, no dedup entries) in one of the retired layouts: type 3 and 4
+// carry no per-shard epoch, type 6 does; none carries an object table.
+func legacySnapshotBody(typ byte) []byte {
+	body := []byte{typ}
+	body = binary.BigEndian.AppendUint64(body, 17) // cover
+	body = binary.BigEndian.AppendUint64(body, 4)  // markers
+	body = binary.BigEndian.AppendUint32(body, 1)  // shards
+	body = binary.BigEndian.AppendUint32(body, 2)  // id
+	if typ == 6 {
+		body = binary.BigEndian.AppendUint64(body, 0) // epoch
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	body := []byte{recTypeSnapshotV2}
-	body = binary.BigEndian.AppendUint64(body, cover)
-	body = binary.BigEndian.AppendUint64(body, markers)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
-	for _, id := range ids {
-		s := shards[id]
-		body = binary.BigEndian.AppendUint32(body, id)
-		body = binary.BigEndian.AppendUint64(body, s.Ver)
-		body = binary.BigEndian.AppendUint64(body, uint64(s.Val))
-		body = binary.BigEndian.AppendUint32(body, 0) // no dedup entries
-	}
-	return body
+	body = binary.BigEndian.AppendUint64(body, 8)  // ver
+	body = binary.BigEndian.AppendUint64(body, 80) // val
+	return binary.BigEndian.AppendUint32(body, 0)  // dedup entries
 }
 
-func TestSnapshotLegacyDecodesEpochZero(t *testing.T) {
-	legacy := map[uint32]ShardState{2: {Ver: 8, Val: 80}}
-	cover, markers, got, err := decodeSnapshot(encodeSnapshotV2(17, 4, legacy))
-	if err != nil {
-		t.Fatalf("decode legacy snapshot: %v", err)
-	}
-	if cover != 17 || markers != 4 {
-		t.Fatalf("header: cover=%d markers=%d", cover, markers)
-	}
-	if g := got[2]; g.Epoch != 0 || g.Ver != 8 || g.Val != 80 {
-		t.Fatalf("shard 2: %+v", g)
+// TestLegacySnapshotTypesRefused: state images in the retired type-3,
+// type-4 and type-6 layouts are corruption, and a data directory whose
+// only snapshot is one of them refuses to recover.
+func TestLegacySnapshotTypesRefused(t *testing.T) {
+	for _, typ := range []byte{3, 4, 6} {
+		body := legacySnapshotBody(typ)
+		if _, _, _, err := decodeSnapshot(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("type %d image: got %v, want errCorrupt", typ, err)
+		}
+		if _, err := DecodeState(body); !errors.Is(err, errCorrupt) {
+			t.Errorf("type %d shipped state: got %v, want errCorrupt", typ, err)
+		}
+		dir := t.TempDir()
+		snap := filepath.Join(dir, "snap-0000000000000017.snap")
+		if err := os.WriteFile(snap, appendFrame(nil, body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := Open(Options{Dir: dir, Policy: SyncNever})
+		if err == nil {
+			l.Close()
+			t.Errorf("type %d: recovery accepted the snapshot", typ)
+		} else if !errors.Is(err, errCorrupt) {
+			t.Errorf("type %d: recovery failed with %v, want errCorrupt", typ, err)
+		}
 	}
 }
 
@@ -156,12 +200,12 @@ func TestReplayEpochFencing(t *testing.T) {
 		}
 	}
 	// Fenced fork straggler: epoch 0 lost to the install above.
-	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 99, Val: 99, Ver: 4, Epoch: 0})
+	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 99, Val: 99, Ver: 4, Epoch: 0, OK: true})
 	// Same-epoch continuation of the installed line.
-	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 60, Val: 60, Ver: 3, Epoch: 1})
+	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 60, Val: 60, Ver: 3, Epoch: 1, OK: true})
 	// Cross-epoch continuation: a promoted primary's first post-bump
 	// record, pulled before any epoch-2 snapshot exists locally.
-	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 70, Val: 70, Ver: 4, Epoch: 2})
+	appendRec(Record{Shard: 0, Kind: OpSet, Arg: 70, Val: 70, Ver: 4, Epoch: 2, OK: true})
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -186,7 +230,7 @@ func TestReplayHigherEpochRewriteIsCorruption(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	lsn, err := l.Append(Record{Shard: 0, Kind: OpSet, Arg: 9, Val: 9, Ver: 4, Epoch: 2})
+	lsn, err := l.Append(Record{Shard: 0, Kind: OpSet, Arg: 9, Val: 9, Ver: 4, Epoch: 2, OK: true})
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}

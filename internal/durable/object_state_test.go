@@ -156,11 +156,14 @@ func TestObjectRecordCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Legacy kinds keep the legacy body byte-for-byte.
+	// Root-register kinds share the one op layout.
 	leg := Record{Session: 5, Seq: 6, Shard: 1, Kind: OpAdd, Arg: 2, Val: 10, Ver: 3, Epoch: 1, OK: true}
 	body := EncodeRecordBody(leg)
-	if len(body) != opBodyLen || body[0] != recTypeOp {
-		t.Fatalf("legacy kind encoded as type %d len %d", body[0], len(body))
+	if len(body) != opObjBodyLen || body[0] != recTypeObjOp {
+		t.Fatalf("root-register kind encoded as type %d len %d", body[0], len(body))
+	}
+	if got, err := ParseRecordBody(body); err != nil || !reflect.DeepEqual(got, leg) {
+		t.Fatalf("root-register round trip: got %+v, want %+v (err %v)", got, leg, err)
 	}
 
 	// Atomic group round-trips sub records.

@@ -53,7 +53,7 @@ const (
 	OpAdd OpKind = 1
 	// OpSet overwrites the shard value with Arg.
 	OpSet OpKind = 2
-	// OpCreate creates named object Obj of type Arg (kx05). For
+	// OpCreate creates named object Obj of type Arg. For
 	// snapshot objects Arg2 is the slot count. Idempotent per type.
 	OpCreate OpKind = 3
 	// OpMapPut stores Arg under Key in map Obj.
@@ -131,12 +131,10 @@ type Record struct {
 	// Epoch is the shard's failover epoch when the mutation applied
 	// (see ShardState.Epoch). Replay and replication order records by
 	// (Epoch, Ver): a record from a lower epoch than the state it
-	// meets is a discarded fork, never data. Records written before
-	// epochs existed decode as epoch 0.
+	// meets is a discarded fork, never data.
 	Epoch uint64
-	// Obj and Key address a named object and map key (kx05 kinds;
-	// empty for the legacy root-register kinds, which keep their
-	// byte-identical legacy record layout).
+	// Obj and Key address a named object and map key (empty for the
+	// root-register kinds add and set).
 	Obj string
 	Key string
 	// Arg2 is the secondary argument (cas expected value, snapshot
@@ -152,25 +150,18 @@ type Record struct {
 }
 
 // Record framing: [4-byte big-endian body length][4-byte CRC-32C of
-// body][body]. The body opens with a type byte.
+// body][body]. The body opens with a type byte. WAL and snapshot frames
+// share one type-byte space so a snapshot body can never be mistaken
+// for a log record; types 1 and 3 through 6 belonged to layouts that
+// are no longer written or read.
 const (
 	recHeaderLen   = 8
-	recTypeOpV1    = 1 // an applied mutation, pre-epoch layout (opBodyLenV1 bytes)
 	recTypeRestart = 2 // a process (re)start marker (1 byte)
-	// 3 and 4 are snapshot body types (see snapshot.go); WAL and
-	// snapshot frames share one type-byte space so a snapshot body can
-	// never be mistaken for a log record.
-	recTypeOp = 5 // an applied mutation with its epoch (opBodyLen bytes)
-	// 6 is the current snapshot body type and 7 its object-table
-	// successor (see snapshot.go).
-	recTypeObjOp  = 8 // a typed-object mutation (opObjBodyLen fixed bytes + name + key)
-	recTypeAtomic = 9 // an atomic group: [type][u16 count] then count × [u16 len][op body]
+	// 7 is the snapshot body type (see snapshot.go).
+	recTypeObjOp  = 8 // a mutation (opObjBodyLen fixed bytes + name + key)
+	recTypeAtomic = 9 // an atomic group: [type][u16 count] then count × [u16 len][type-8 body]
 
-	// opBodyLenV1: type + session + seq + shard + kind + arg + val + ver.
-	opBodyLenV1 = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8
-	// opBodyLen appends the 8-byte epoch.
-	opBodyLen = opBodyLenV1 + 8
-	// opObjBodyLen is the fixed prefix of a typed-object record: type +
+	// opObjBodyLen is the fixed prefix of a mutation record: type +
 	// session + seq + shard + kind + arg + arg2 + val + ver + epoch +
 	// ok + nameLen(u8) + keyLen(u16); name and key bytes follow.
 	opObjBodyLen = 1 + 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8 + 8 + 1 + 1 + 2
@@ -194,6 +185,11 @@ var errTorn = errors.New("durable: torn record")
 // last segment it is handled like a torn write; anywhere else it is
 // fatal.
 var errCorrupt = errors.New("durable: corrupt record")
+
+// errRetired marks a complete record in a layout older servers wrote
+// (WAL types 1 and 5). It is corruption, but never a torn write: replay
+// refuses it even at the tail instead of truncating the log there.
+var errRetired = fmt.Errorf("%w: record layout retired with the kx05 protocol", errCorrupt)
 
 // appendFrame appends one framed record body to dst.
 func appendFrame(dst, body []byte) []byte {
@@ -231,10 +227,9 @@ func encodeOp(r Record) []byte {
 }
 
 // EncodeRecordBody serializes an op record body without the CRC frame
-// — the shared codec for WAL appends and replication shipping. Legacy
-// root-register kinds keep the pre-kx05 layout byte-for-byte; typed
-// kinds use the object layout; a record with Atomic set becomes one
-// atomic-group body.
+// — the shared codec for WAL appends and replication shipping. Every
+// op kind uses the type-8 layout; a record with Atomic set becomes one
+// type-9 atomic-group body.
 func EncodeRecordBody(r Record) []byte {
 	if len(r.Atomic) > 0 {
 		body := []byte{recTypeAtomic}
@@ -244,24 +239,6 @@ func EncodeRecordBody(r Record) []byte {
 			body = binary.BigEndian.AppendUint16(body, uint16(len(sb)))
 			body = append(body, sb...)
 		}
-		return body
-	}
-	// Legacy register kinds always succeed (applyOp has no rejecting
-	// path for add/set), so the OK-less legacy layout loses nothing:
-	// decode normalizes their OK to true.
-	if (r.Kind == OpAdd || r.Kind == OpSet) && r.Obj == "" && r.Key == "" && r.Arg2 == 0 {
-		// Legacy layout, unchanged: pre-kx05 WALs and this one stay
-		// interchangeable for register-only traffic.
-		body := make([]byte, opBodyLen)
-		body[0] = recTypeOp
-		binary.BigEndian.PutUint64(body[1:], r.Session)
-		binary.BigEndian.PutUint64(body[9:], r.Seq)
-		binary.BigEndian.PutUint32(body[17:], r.Shard)
-		body[21] = byte(r.Kind)
-		binary.BigEndian.PutUint64(body[22:], uint64(r.Arg))
-		binary.BigEndian.PutUint64(body[30:], uint64(r.Val))
-		binary.BigEndian.PutUint64(body[38:], r.Ver)
-		binary.BigEndian.PutUint64(body[46:], r.Epoch)
 		return body
 	}
 	body := make([]byte, opObjBodyLen, opObjBodyLen+len(r.Obj)+len(r.Key))
@@ -312,34 +289,6 @@ func encodeRestart() []byte {
 // restart marker (restart reports ok with isRestart true).
 func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 	switch body[0] {
-	case recTypeOp, recTypeOpV1:
-		want := opBodyLen
-		if body[0] == recTypeOpV1 {
-			want = opBodyLenV1 // pre-epoch record: epoch decodes as 0
-		}
-		if len(body) != want {
-			return Record{}, false, fmt.Errorf("%w: op body is %d bytes, want %d", errCorrupt, len(body), want)
-		}
-		rec = Record{
-			Session: binary.BigEndian.Uint64(body[1:]),
-			Seq:     binary.BigEndian.Uint64(body[9:]),
-			Shard:   binary.BigEndian.Uint32(body[17:]),
-			Kind:    OpKind(body[21]),
-			Arg:     int64(binary.BigEndian.Uint64(body[22:])),
-			Val:     int64(binary.BigEndian.Uint64(body[30:])),
-			Ver:     binary.BigEndian.Uint64(body[38:]),
-		}
-		if body[0] == recTypeOp {
-			rec.Epoch = binary.BigEndian.Uint64(body[46:])
-		}
-		rec.OK = true // legacy kinds always applied with an OK verdict
-		if rec.Kind != OpAdd && rec.Kind != OpSet {
-			return Record{}, false, fmt.Errorf("%w: unknown op kind %d", errCorrupt, body[21])
-		}
-		if rec.Ver == 0 {
-			return Record{}, false, fmt.Errorf("%w: op record with version 0", errCorrupt)
-		}
-		return rec, false, nil
 	case recTypeObjOp:
 		if len(body) < opObjBodyLen {
 			return Record{}, false, fmt.Errorf("%w: object op body is %d bytes, want >= %d", errCorrupt, len(body), opObjBodyLen)
@@ -397,7 +346,7 @@ func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 			}
 			sb := body[off : off+n]
 			off += n
-			if sb[0] != recTypeOp && sb[0] != recTypeObjOp {
+			if sb[0] != recTypeObjOp {
 				return Record{}, false, fmt.Errorf("%w: atomic sub %d has record type %d", errCorrupt, i, sb[0])
 			}
 			sub, _, err := parseBody(sb)
@@ -415,6 +364,8 @@ func parseBody(body []byte) (rec Record, isRestart bool, err error) {
 			return Record{}, false, fmt.Errorf("%w: restart body is %d bytes, want 1", errCorrupt, len(body))
 		}
 		return Record{}, true, nil
+	case 1, 5:
+		return Record{}, false, fmt.Errorf("%w: type %d", errRetired, body[0])
 	}
 	return Record{}, false, fmt.Errorf("%w: unknown record type %d", errCorrupt, body[0])
 }

@@ -286,7 +286,7 @@ func (l *Log) replaySegment(sg segment, last bool, snapCover uint64, rec *Recove
 		}
 		r, isRestart, err := parseBody(body)
 		if err != nil {
-			if !last {
+			if !last || errors.Is(err, errRetired) {
 				return 0, fmt.Errorf("durable: %s at offset %d: %w (not the final segment)",
 					filepath.Base(sg.path), off, err)
 			}

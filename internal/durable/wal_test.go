@@ -23,7 +23,7 @@ func appendOps(t *testing.T, l *Log, s *ShardState, shard uint32, sess uint64, s
 		}
 		lsn, err := l.Append(Record{
 			Session: sess, Seq: startSeq + uint64(i), Shard: shard,
-			Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver,
+			Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: out.OK,
 		})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -366,7 +366,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				lsn, err := l.Append(Record{Shard: uint32(w), Kind: OpAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1)})
+				lsn, err := l.Append(Record{Shard: uint32(w), Kind: OpAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1), OK: true})
 				if err != nil {
 					t.Errorf("writer %d append: %v", w, err)
 					return
@@ -396,7 +396,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 func TestSyncNeverDoesNotWait(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
-	lsn, err := l.Append(Record{Shard: 0, Kind: OpSet, Arg: 3, Val: 3, Ver: 1})
+	lsn, err := l.Append(Record{Shard: 0, Kind: OpSet, Arg: 3, Val: 3, Ver: 1, OK: true})
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -467,7 +467,7 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 	// The version for seq 2 is now a hole. A later append must be
 	// refused outright, not written past the gap.
 	out = Step(&s, 0, 11, 3, OpAdd, 1)
-	_, err := l.Append(Record{Session: 11, Seq: 3, Shard: 0, Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver})
+	_, err := l.Append(Record{Session: 11, Seq: 3, Shard: 0, Kind: OpAdd, Arg: 1, Val: out.Val, Ver: out.Ver, OK: true})
 	if err == nil {
 		t.Fatal("append after a failed append succeeded: the WAL now has a hole")
 	}
@@ -507,7 +507,7 @@ func TestSyncAlwaysGroupCommits(t *testing.T) {
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 16; i++ {
-		lsn, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1)})
+		lsn, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: int64(i + 1), Ver: uint64(i + 1), OK: true})
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -529,7 +529,7 @@ func TestSyncAlwaysGroupCommits(t *testing.T) {
 		t.Fatalf("fsyncs after covered re-wait: %d, want 2", s)
 	}
 	// A fresh append re-arms the wait: one more sync, exactly.
-	lsn, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: 17, Ver: 17})
+	lsn, err := l.Append(Record{Shard: 0, Kind: OpAdd, Arg: 1, Val: 17, Ver: 17, OK: true})
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package netfault is a deterministic chaos proxy for the kexserved
 // wire protocol: a TCP relay that injects the network's failure modes —
 // added latency, silent partitions, connection resets, mid-frame
-// truncation — at planned byte offsets on planned connections.
+// truncation — at planned frames of planned connections.
 //
 // It is the network sibling of internal/faultinject: where that package
 // crashes processes at planned points inside the entry/exit sections,
@@ -9,12 +9,14 @@
 // the session watchdog, per-op deadlines, and client retry discipline
 // can be driven through real sockets. Like faultinject, everything is a
 // function of the Plan: a Rule names the connection (by accept order)
-// it breaks, the fault kind, and the upstream byte offset at which it
-// fires, so a seeded run is reproducible chunk for chunk (modulo kernel
-// chunking of the streams, which the byte-offset trigger is immune to).
+// it breaks, the fault kind, and the upstream frame (by index, read from
+// the 4-byte length prefixes every kexserved dialect uses) and byte
+// within it at which it fires, so a seeded run is reproducible
+// whatever the frame sizes or the kernel's chunking of the streams.
 package netfault
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
@@ -42,9 +44,9 @@ const (
 	// Reset hard-closes the client side (SO_LINGER=0, so an RST) at the
 	// trigger and drops the server side.
 	Reset
-	// Truncate relays exactly the trigger offset's bytes upstream and
-	// then closes both sides cleanly — cutting a frame in half when the
-	// offset lands inside one.
+	// Truncate relays the trigger frame's bytes up to the trigger
+	// offset and then closes both sides cleanly — cutting the frame in
+	// half.
 	Truncate
 )
 
@@ -115,10 +117,14 @@ type Rule struct {
 	Conn int
 	// Act is the fault kind.
 	Act Action
-	// After is the upstream (client-to-server) byte offset at which the
-	// fault fires; bytes up to the offset are relayed faithfully.
-	// Ignored by Delay, which applies from the first chunk.
-	After int64
+	// Frame is the 0-based upstream (client-to-server) frame the fault
+	// fires in, and Offset the byte within it (length prefix included)
+	// before which it fires; everything earlier is relayed faithfully.
+	// An Offset at or past the frame's end is clamped to its last byte,
+	// so the trigger frame never arrives whole. Both are ignored by
+	// Delay, which applies from the first chunk.
+	Frame  int
+	Offset int64
 	// Latency is Delay's added per-chunk latency.
 	Latency time.Duration
 }
@@ -130,9 +136,10 @@ type Plan struct {
 }
 
 // NewPlan derives a deterministic plan: among conns connections, each
-// fault kind in kinds is assigned to a distinct connection at a byte
-// offset past the admission handshake (so every victim is admitted
-// before its link breaks). Same seed, same plan.
+// fault kind in kinds is assigned to a distinct connection, firing
+// inside one of its second to fourth request frames (so every victim
+// is admitted and completes an operation before its link breaks). Same
+// seed, same plan.
 func NewPlan(seed int64, conns int, kinds ...Action) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(conns)
@@ -142,18 +149,24 @@ func NewPlan(seed int64, conns int, kinds ...Action) Plan {
 			break
 		}
 		p.Rules = append(p.Rules, Rule{
-			Conn: perm[i],
-			Act:  kind,
-			// One full request is 41 upstream bytes (4-byte length
-			// prefix + 37-byte payload): fire inside request 2..4 so
-			// the victim completes at least one operation first.
-			After:   41 + rng.Int63n(3*41),
+			Conn:  perm[i],
+			Act:   kind,
+			Frame: 1 + rng.Intn(3),
+			// Inside the length prefix or the fixed op header, which
+			// every request frame has whatever its names: a Truncate
+			// leaves a frame the server can never parse.
+			Offset:  1 + rng.Int63n(minRequestFrame-1),
 			Latency: time.Duration(1+rng.Int63n(5)) * time.Millisecond,
 		})
 	}
 	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Conn < p.Rules[j].Conn })
 	return p
 }
+
+// minRequestFrame is the smallest client request frame on the wire: the
+// 4-byte length prefix, the 3-byte batch header, and one op's 47-byte
+// fixed encoding with empty name and key.
+const minRequestFrame = 4 + 3 + 47
 
 // rule finds the rule armed for connection index conn.
 func (p Plan) rule(conn int) (Rule, bool) {
@@ -178,7 +191,7 @@ func (p Plan) String() string {
 		case Delay:
 			fmt.Fprintf(&b, " conn%d:%s+%v", r.Conn, r.Act, r.Latency)
 		default:
-			fmt.Fprintf(&b, " conn%d:%s@%dB", r.Conn, r.Act, r.After)
+			fmt.Fprintf(&b, " conn%d:%s@frame%d+%dB", r.Conn, r.Act, r.Frame, r.Offset)
 		}
 	}
 	return b.String()
@@ -196,7 +209,7 @@ type Stats struct {
 	DelayedChunks int64 `json:"delayed_chunks"`
 	// BytesUp and BytesDown are relayed byte totals (post-fault bytes
 	// are never relayed, so a Truncate rule caps its connection's
-	// upstream count at the trigger offset).
+	// upstream count at the trigger point).
 	BytesUp   int64 `json:"bytes_up"`
 	BytesDown int64 `json:"bytes_down"`
 }
@@ -423,7 +436,8 @@ func (l *link) pump(src, dst net.Conn, up bool) {
 	if up {
 		counter = &l.proxy.bytesUp
 	}
-	relayed := int64(0)
+	armed := up && l.rule.Act != Forward && l.rule.Act != Delay
+	var frames frameCursor
 	buf := make([]byte, 32*1024)
 	for {
 		if l.faulted.Load() {
@@ -437,19 +451,17 @@ func (l *link) pump(src, dst net.Conn, up bool) {
 				return
 			}
 			chunk := buf[:n]
-			// The byte-offset trigger: relay the prefix before the
-			// offset, then fire. Only upstream bytes arm triggers.
-			if up && l.rule.Act != Forward && l.rule.Act != Delay && relayed+int64(n) >= l.rule.After {
-				keep := l.rule.After - relayed
-				if keep < 0 {
-					keep = 0
+			// The frame trigger: relay the bytes before the trigger
+			// point, then fire. Only upstream bytes arm triggers.
+			if armed {
+				if keep, hit := frames.advance(chunk, l.rule.Frame, l.rule.Offset); hit {
+					if keep > 0 {
+						dst.Write(chunk[:keep])
+						counter.Add(int64(keep))
+					}
+					l.fire()
+					return
 				}
-				if keep > 0 {
-					dst.Write(chunk[:keep])
-					counter.Add(keep)
-				}
-				l.fire()
-				return
 			}
 			if l.rule.Act == Delay {
 				l.proxy.delayedChunks.Add(1)
@@ -461,11 +473,57 @@ func (l *link) pump(src, dst net.Conn, up bool) {
 			if _, werr := dst.Write(chunk); werr != nil {
 				return
 			}
-			relayed += int64(n)
 			counter.Add(int64(n))
 		}
 		if err != nil {
 			return
+		}
+	}
+}
+
+// frameCursor follows the frame boundaries of one relayed stream by
+// reading the 4-byte big-endian length prefix that opens every frame.
+type frameCursor struct {
+	frame int     // index of the frame the next byte belongs to
+	pos   int64   // bytes of that frame already seen, prefix included
+	size  int64   // that frame's total size; 0 until its prefix is read
+	hdr   [4]byte // the prefix bytes seen so far
+}
+
+// advance consumes chunk and reports whether the stream reached the
+// trigger point — byte offset (clamped to the frame's last byte) of
+// frame target — within it; if so keep is how many of chunk's bytes
+// precede that point. Offset 0 is reached as soon as the previous
+// frame is complete.
+func (c *frameCursor) advance(chunk []byte, target int, offset int64) (keep int, hit bool) {
+	for i := 0; ; {
+		at := offset
+		if c.size > 0 {
+			at = min(at, c.size-1)
+		}
+		if c.frame == target && c.pos >= at {
+			return i, true
+		}
+		if i == len(chunk) {
+			return i, false
+		}
+		var n int64
+		if c.pos < 4 {
+			c.hdr[c.pos] = chunk[i]
+			n = 1
+			if c.pos == 3 {
+				c.size = 4 + int64(binary.BigEndian.Uint32(c.hdr[:]))
+			}
+		} else {
+			n = min(c.size-c.pos, int64(len(chunk)-i))
+			if c.frame == target {
+				n = min(n, at-c.pos)
+			}
+		}
+		c.pos += n
+		i += int(n)
+		if c.pos == c.size {
+			c.frame, c.pos, c.size = c.frame+1, 0, 0
 		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"kexclusion/internal/netfault"
+	"kexclusion/internal/object"
 	"kexclusion/internal/server"
 	"kexclusion/internal/server/client"
+	"kexclusion/internal/wire"
 )
 
 func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
@@ -90,8 +92,8 @@ func TestPlanDeterminism(t *testing.T) {
 			t.Fatalf("two rules on conn %d", r.Conn)
 		}
 		conns[r.Conn] = true
-		if r.After < 41 {
-			t.Fatalf("rule fires at %dB, inside the handshake window", r.After)
+		if r.Frame < 1 || r.Offset < 1 {
+			t.Fatalf("rule fires at frame %d byte %d, before the victim's first op completes", r.Frame, r.Offset)
 		}
 	}
 	if s := a.String(); !strings.Contains(s, "seed=42") {
@@ -99,6 +101,48 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 	if s := (netfault.Plan{Seed: 7}).String(); !strings.Contains(s, "clean relay") {
 		t.Fatalf("empty plan string %q", s)
+	}
+}
+
+// TestPlanTriggerFrameIgnoresNameLength: a seeded rule fires in the
+// same request frame whatever the frames' sizes. Two sessions behind
+// the same plan drive ops on objects whose names differ in length by
+// 63 bytes; in both, exactly the frames before the trigger frame
+// apply and the trigger frame is cut.
+func TestPlanTriggerFrameIgnoresNameLength(t *testing.T) {
+	plan := netfault.NewPlan(11, 1, netfault.Truncate)
+	rule := plan.Rules[0]
+	for _, name := range []string{"r", strings.Repeat("r", 64)} {
+		srv, addr := startServer(t, server.Config{N: 1, K: 1, Shards: 1})
+		px := startProxy(t, addr, plan)
+		c, err := client.Dial(px.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := 0
+		if _, err := c.Create(name, object.TypeRegister, 0); err == nil {
+			applied++
+			for ; applied < 10; applied++ {
+				if _, err := c.RegAdd(name, 1); err != nil {
+					break
+				}
+			}
+		}
+		c.Close()
+		if applied != rule.Frame {
+			t.Fatalf("name of %d bytes: %d frames applied before the fault, want %d (%v)", len(name), applied, rule.Frame, plan)
+		}
+		awaitServer(t, srv, "truncate reclaim",
+			func(v int64) bool { return v == 0 },
+			func() int64 { return srv.Stats().ActiveSessions })
+		fresh, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _, err := fresh.RegGet(name); err != nil || v != int64(rule.Frame-1) {
+			t.Fatalf("name of %d bytes: register = %d, %v; want %d", len(name), v, err, rule.Frame-1)
+		}
+		fresh.Close()
 	}
 }
 
@@ -110,9 +154,10 @@ func TestPlanDeterminism(t *testing.T) {
 func TestPartitionWatchdogReclaim(t *testing.T) {
 	const idle = 150 * time.Millisecond
 	srv, addr := startServer(t, server.Config{N: 2, K: 1, Shards: 1, IdleTimeout: idle})
-	// Partition conn 0 the moment its first request has fully passed.
+	// Partition conn 0 the moment its first request has fully passed
+	// (offset 0 of frame 1).
 	px := startProxy(t, addr, netfault.Plan{Seed: 2, Rules: []netfault.Rule{
-		{Conn: 0, Act: netfault.Partition, After: 41},
+		{Conn: 0, Act: netfault.Partition, Frame: 1},
 	}})
 
 	victim, err := client.Dial(px.Addr())
@@ -155,8 +200,8 @@ func TestPartitionWatchdogReclaim(t *testing.T) {
 	}()
 
 	// The victim's first Add reaches the server (the partition fires
-	// after the request's 41 bytes) but its response vanishes: the op
-	// deadline must surface the silence instead of hanging.
+	// once the request frame has passed) but its response vanishes: the
+	// op deadline must surface the silence instead of hanging.
 	if _, err := victim.Add(0, 1); err == nil {
 		t.Fatal("victim's op succeeded across a partition")
 	}
@@ -205,7 +250,7 @@ func TestPartitionWatchdogReclaim(t *testing.T) {
 func TestResetHealsThroughReconnect(t *testing.T) {
 	_, addr := startServer(t, server.Config{N: 2, K: 1, Shards: 1})
 	px := startProxy(t, addr, netfault.Plan{Seed: 3, Rules: []netfault.Rule{
-		{Conn: 0, Act: netfault.Reset, After: 41},
+		{Conn: 0, Act: netfault.Reset, Frame: 1},
 	}})
 
 	r, err := client.DialReconnecting(px.Addr(), client.RetryPolicy{Seed: 7, BaseDelay: time.Millisecond}, 2*time.Second)
@@ -214,7 +259,7 @@ func TestResetHealsThroughReconnect(t *testing.T) {
 	}
 	defer r.Close()
 
-	// Conn 0 dies by RST the moment the Get's request bytes pass; the
+	// Conn 0 dies by RST the moment the Get's request frame passes; the
 	// retry lands on conn 1, which has no rule.
 	if _, err := r.Get(0); err != nil {
 		t.Fatalf("Get did not heal through the reset: %v", err)
@@ -232,9 +277,9 @@ func TestResetHealsThroughReconnect(t *testing.T) {
 // truncated frame can never be parsed as an operation.
 func TestTruncateMidFrame(t *testing.T) {
 	srv, addr := startServer(t, server.Config{N: 1, K: 1, Shards: 1})
-	// 46 bytes: request 1 (41B) passes whole, request 2 is cut at 5 bytes.
+	// Request 1 passes whole, request 2 is cut after 5 bytes.
 	px := startProxy(t, addr, netfault.Plan{Seed: 4, Rules: []netfault.Rule{
-		{Conn: 0, Act: netfault.Truncate, After: 46},
+		{Conn: 0, Act: netfault.Truncate, Frame: 1, Offset: 5},
 	}})
 
 	c, err := client.Dial(px.Addr())
@@ -248,8 +293,12 @@ func TestTruncateMidFrame(t *testing.T) {
 	if _, err := c.Add(0, 1); err == nil {
 		t.Fatal("op succeeded across a truncated frame")
 	}
-	if st := px.Stats(); st.Truncations != 1 || st.BytesUp != 46 {
-		t.Fatalf("proxy stats %+v", st)
+	first, err := wire.ObjBatch{Reqs: []wire.Request{{Kind: wire.KindAdd}}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := px.Stats(); st.Truncations != 1 || st.BytesUp != int64(4+len(first)+5) {
+		t.Fatalf("proxy stats %+v, want %d bytes up", st, 4+len(first)+5)
 	}
 
 	// The server tore the session down and reclaimed the identity; the

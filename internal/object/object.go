@@ -23,7 +23,7 @@ type Type uint8
 
 const (
 	// TypeRegister is an int64 register with add/set — the shard-root
-	// semantics of kx03, now nameable.
+	// register's semantics, nameable.
 	TypeRegister Type = 1
 	// TypeMap is a string→int64 map with get/put/cas/delete.
 	TypeMap Type = 2

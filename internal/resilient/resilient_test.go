@@ -155,42 +155,56 @@ func TestQueueFIFOPerProducer(t *testing.T) {
 			}
 		}(p)
 	}
+	// Every Dequeue is bracketed by tickets from one global counter,
+	// taken just before the call and just after it returns, so the
+	// record orders calls in real time without the consumers' append
+	// order mattering: two overlapping calls may be recorded either way.
+	type deq struct{ start, end int64 }
+	var ticket, consumed atomic.Int64
 	var mu sync.Mutex
-	got := make(map[int][]int)
+	got := make([][]deq, producers)
+	for p := range got {
+		got[p] = make([]deq, items)
+	}
+	seen := make([][]int, producers)
+	for p := range seen {
+		seen[p] = make([]int, items)
+	}
 	for p := producers; p < n; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for {
+			for consumed.Load() < int64(producers*items) {
+				start := ticket.Add(1)
 				v, ok := q.Dequeue(p)
+				end := ticket.Add(1)
 				if !ok {
-					mu.Lock()
-					total := 0
-					for _, s := range got {
-						total += len(s)
-					}
-					mu.Unlock()
-					if total == producers*items {
-						return
-					}
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
 				mu.Lock()
-				got[v[0]] = append(got[v[0]], v[1])
+				got[v[0]][v[1]] = deq{start, end}
+				seen[v[0]][v[1]]++
 				mu.Unlock()
+				consumed.Add(1)
 			}
 		}(p)
 	}
 	wg.Wait()
 	for p := 0; p < producers; p++ {
-		seq := got[p]
-		if len(seq) != items {
-			t.Fatalf("producer %d: %d items consumed, want %d", p, len(seq), items)
+		for i := 0; i < items; i++ {
+			if seen[p][i] != 1 {
+				t.Fatalf("producer %d item %d consumed %d times, want exactly once", p, i, seen[p][i])
+			}
 		}
-		for i := 1; i < len(seq); i++ {
-			if seq[i] <= seq[i-1] {
-				t.Fatalf("producer %d order violated: %v", p, seq)
+		// Real-time FIFO: a later item may not be dequeued by a call
+		// that returned before the call dequeuing an earlier item began.
+		for i := 0; i < items; i++ {
+			for j := i + 1; j < items; j++ {
+				if got[p][j].end < got[p][i].start {
+					t.Fatalf("producer %d: item %d dequeued by a call ending at ticket %d, before item %d's call began at %d",
+						p, j, got[p][j].end, i, got[p][i].start)
+				}
 			}
 		}
 	}

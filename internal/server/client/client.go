@@ -7,9 +7,9 @@
 // as a sequential thread of operations.
 //
 // Operations may be pipelined: Go issues an operation and returns a
-// Pending promise, Flush writes the queued burst (as kx04 batch frames
-// when the server negotiated them, plain kx03 frames otherwise), and
-// Pending.Wait resolves responses in issue order. A pipeline is still
+// Pending promise, Flush writes the queued burst as one request frame
+// (several past wire.MaxBatchOps ops), and Pending.Wait resolves
+// responses in issue order. A pipeline is still
 // one sequential thread of operations — the server applies them in
 // issue order under the session's single identity — it just keeps the
 // network and the WAL's group commit full while doing so.
@@ -68,26 +68,14 @@ type Client struct {
 	broken    bool
 	brokenBy  error
 
-	// Pipelining state. batch records whether the server's hello
-	// advertised kx04 batch frames, objects whether it advertised kx05
-	// object frames; queued holds operations issued with Go but not yet
-	// written; frames is the FIFO of response framings still owed by
-	// the server (one entry per request frame written); pending is the
-	// FIFO of unresolved operations, oldest first.
-	batch   bool
-	objects bool
+	// Pipelining state. queued holds operations issued with Go but not
+	// yet written; frames is the FIFO of response counts still owed by
+	// the server (one entry per request frame written, answered by
+	// BatchResponse frames carrying that many responses in order);
+	// pending is the FIFO of unresolved operations, oldest first.
 	queued  []wire.Request
-	frames  []outFrame
+	frames  []int
 	pending []*Pending
-}
-
-// outFrame records the framing of one written request frame, which is
-// the framing the server's answer will arrive in: a plain Request
-// frame is answered by one Response frame, a BatchRequest frame by
-// BatchResponse frames carrying its n responses in order.
-type outFrame struct {
-	batched bool
-	n       int
 }
 
 // Pending is one in-flight pipelined operation: a promise for its
@@ -166,16 +154,8 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		bw:      bufio.NewWriter(conn),
 		hello:   hello,
 		session: randomSession(),
-		batch:   hello.SupportsBatch(),
-		objects: hello.SupportsObjects(),
 	}, nil
 }
-
-// Batched reports whether the server negotiated kx04 batch frames.
-// When false (a kx03 server) pipelining still works — each queued
-// operation goes out as its own plain frame — but a flush is several
-// frames instead of one.
-func (c *Client) Batched() bool { return c.batch }
 
 // Session reports the client's op-ID session identity.
 func (c *Client) Session() uint64 {
@@ -223,27 +203,11 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 // mutations (zero for idempotent kinds, which are never deduplicated
 // or logged). Responses resolve strictly in issue order.
 func (c *Client) Go(kind wire.Kind, shard uint32, arg int64, seq uint64) (*Pending, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.goLocked(kind, shard, arg, seq)
+	return c.GoObj(kind, "", "", shard, arg, 0, seq)
 }
 
-func (c *Client) goLocked(kind wire.Kind, shard uint32, arg int64, seq uint64) (*Pending, error) {
-	if c.broken {
-		return nil, c.brokenErrLocked()
-	}
-	c.nextID++
-	req := wire.Request{ID: c.nextID, Kind: kind, Shard: shard, Arg: arg, Session: c.session, Seq: seq}
-	c.queued = append(c.queued, req)
-	p := &Pending{c: c, id: req.ID}
-	c.pending = append(c.pending, p)
-	return p, nil
-}
-
-// Flush writes every queued operation to the connection. On a kx04
-// server a multi-op flush goes out as batch frames; a single-op flush
-// (and every flush to a kx03 server) is a plain frame, byte-identical
-// to the serialized client's stream.
+// Flush writes every queued operation to the connection as one
+// request frame, or several when more than wire.MaxBatchOps are queued.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,45 +221,16 @@ func (c *Client) flushLocked() error {
 	if len(c.queued) == 0 {
 		return nil
 	}
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	needObj := false
-	for _, req := range c.queued {
-		if req.Kind.IsObject() {
-			needObj = true
-			break
-		}
-	}
-	switch {
-	case needObj:
-		// At least one queued op speaks kx05: the whole flush goes out
-		// in object frames (legacy kinds ride along unchanged). goObj
-		// refuses object ops on a non-kx05 server, so c.objects holds.
-		if err := c.flushObjLocked(); err != nil {
+	c.armDeadlineLocked()
+	for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
+		end := min(off+wire.MaxBatchOps, len(c.queued))
+		payload, err := wire.ObjBatch{Reqs: c.queued[off:end]}.Encode()
+		if err != nil {
+			c.poisonLocked(err)
 			return err
 		}
-	case !c.batch || len(c.queued) == 1:
-		for _, req := range c.queued {
-			if err := wire.WriteRequest(c.bw, req); err != nil {
-				c.poisonLocked(err)
-				return err
-			}
-			c.frames = append(c.frames, outFrame{batched: false, n: 1})
-		}
-	default:
-		for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
-			end := off + wire.MaxBatchOps
-			if end > len(c.queued) {
-				end = len(c.queued)
-			}
-			if err := wire.WriteBatchRequest(c.bw, wire.BatchRequest{Reqs: c.queued[off:end]}); err != nil {
-				c.poisonLocked(err)
-				return err
-			}
-			c.frames = append(c.frames, outFrame{batched: true, n: end - off})
+		if err := c.writeFrameLocked(payload, end-off); err != nil {
+			return err
 		}
 	}
 	c.queued = c.queued[:0]
@@ -306,40 +241,25 @@ func (c *Client) flushLocked() error {
 	return nil
 }
 
-// flushObjLocked writes the queued operations in kx05 object frames: a
-// single op as a 0xC0 frame (answered by a plain Response), several as
-// 0xC1 pipeline frames (answered by BatchResponse frames).
-func (c *Client) flushObjLocked() error {
-	if len(c.queued) == 1 {
-		payload, err := wire.EncodeObjRequest(c.queued[0])
-		if err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		if err := wire.WriteFrame(c.bw, payload); err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		c.frames = append(c.frames, outFrame{batched: false, n: 1})
-		return nil
+// writeFrameLocked buffers one encoded request frame of n ops and
+// records the n responses the server owes for it. A failure poisons
+// the connection.
+func (c *Client) writeFrameLocked(payload []byte, n int) error {
+	if err := wire.WriteFrame(c.bw, payload); err != nil {
+		c.poisonLocked(err)
+		return err
 	}
-	for off := 0; off < len(c.queued); off += wire.MaxBatchOps {
-		end := off + wire.MaxBatchOps
-		if end > len(c.queued) {
-			end = len(c.queued)
-		}
-		payload, err := (wire.ObjBatch{Reqs: c.queued[off:end]}).Encode()
-		if err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		if err := wire.WriteFrame(c.bw, payload); err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		c.frames = append(c.frames, outFrame{batched: true, n: end - off})
-	}
+	c.frames = append(c.frames, n)
 	return nil
+}
+
+// armDeadlineLocked bounds the next exchange by the op timeout.
+func (c *Client) armDeadlineLocked() {
+	if c.opTimeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
+	} else {
+		c.conn.SetDeadline(time.Time{})
+	}
 }
 
 // Wait flushes any queued operations and blocks until this operation's
@@ -394,33 +314,19 @@ func (c *Client) readFrameLocked() error {
 		c.poisonLocked(err)
 		return err
 	}
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	f := c.frames[0]
-	if !f.batched {
-		resp, err := wire.ReadResponse(c.br)
-		if err != nil {
-			c.poisonLocked(err)
-			return err
-		}
-		c.frames = c.frames[1:]
-		return c.resolveLocked(resp)
-	}
-	// A batch request frame is answered by one or more BatchResponse
-	// frames totalling f.n responses (the server splits frames that
-	// would exceed wire.MaxFrame).
-	got := 0
-	for got < f.n {
+	c.armDeadlineLocked()
+	// A request frame is answered by one or more BatchResponse frames
+	// totalling n responses (the server splits frames that would
+	// exceed wire.MaxFrame).
+	n, got := c.frames[0], 0
+	for got < n {
 		batch, err := wire.ReadBatchResponse(c.br)
 		if err != nil {
 			c.poisonLocked(err)
 			return err
 		}
-		if len(batch.Resps) > f.n-got {
-			err := fmt.Errorf("client: server answered %d responses to a batch of %d", got+len(batch.Resps), f.n)
+		if len(batch.Resps) > n-got {
+			err := fmt.Errorf("client: server answered %d responses to a batch of %d", got+len(batch.Resps), n)
 			c.poisonLocked(err)
 			return err
 		}
@@ -488,16 +394,10 @@ func (c *Client) brokenErrLocked() error {
 	return ErrBroken
 }
 
-// do runs one serialized request/response exchange on the pipelined
-// machinery: issue, flush, wait.
+// do runs one serialized root-register or control exchange on the
+// pipelined machinery: issue, flush, wait.
 func (c *Client) do(kind wire.Kind, shard uint32, arg int64, seq uint64) (wire.Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, err := c.goLocked(kind, shard, arg, seq)
-	if err != nil {
-		return wire.Response{}, err
-	}
-	return c.waitLocked(p)
+	return c.doObj(kind, "", "", shard, arg, 0, seq)
 }
 
 // Ping round-trips a no-op.

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"kexclusion/internal/wire"
+	"kexclusion/internal/wire/wiretest"
 )
 
 // fakeEndpoint accepts one connection and runs serve against it.
@@ -33,6 +35,22 @@ func TestDialRejectsNonProtocolEndpoint(t *testing.T) {
 	addr := fakeEndpoint(t, func(conn net.Conn) {
 		// A frame whose payload is not a Hello (wrong magic).
 		wire.WriteFrame(conn, []byte("HTTP/1.1 200 OK\r\n\r\nhello world junk..."))
+	})
+	_, err := DialTimeout(addr, 2*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("want protocol-magic error, got %v", err)
+	}
+}
+
+// TestDialRejectsKx03Hello: a server of the retired kx03/kx04 protocol
+// sends an otherwise well-formed admission Hello under the old magic;
+// the client refuses it at the handshake instead of sending frames the
+// peer cannot parse.
+func TestDialRejectsKx03Hello(t *testing.T) {
+	addr := fakeEndpoint(t, func(conn net.Conn) {
+		b := wire.Hello{Status: wire.StatusOK, N: 1, K: 1, Shards: 1, Msg: "kx04"}.Encode()
+		binary.BigEndian.PutUint32(b, 0x6b783033) // "kx03"
+		wire.WriteFrame(conn, b)
 	})
 	_, err := DialTimeout(addr, 2*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "magic") {
@@ -76,12 +94,10 @@ func TestDialHandshakeTimeout(t *testing.T) {
 
 func TestResponseIDMismatch(t *testing.T) {
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		req, err := wire.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		wire.WriteResponse(conn, wire.Response{ID: req.ID + 99, Status: wire.StatusOK})
+		wire.WriteHello(conn, wiretest.Hello)
+		wiretest.Serve(conn, func(req wire.Request) wire.Response {
+			return wire.Response{ID: req.ID + 99, Status: wire.StatusOK}
+		})
 	})
 	c, err := DialTimeout(addr, 2*time.Second)
 	if err != nil {

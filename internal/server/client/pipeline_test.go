@@ -4,39 +4,25 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"kexclusion/internal/wire"
+	"kexclusion/internal/wire/wiretest"
 )
 
-// kx04Hello is the admission a batch-capable server sends.
-func kx04Hello() wire.Hello {
-	return wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1, Msg: wire.FeatureBatch}
-}
-
-// serveBatchEcho admits with kx04 and answers every request frame
-// (plain or batch) with echo semantics (Value = Arg), mirroring the
-// framing. It records how many request frames it read.
+// serveBatchEcho answers every request frame with echo semantics
+// (Value = Arg). It records how many request frames it read.
 func serveBatchEcho(frames *atomic.Int64) func(net.Conn) {
 	return func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
+		wire.WriteHello(conn, wiretest.Hello)
 		for {
-			reqs, batched, err := wire.ReadRequests(conn)
-			if err != nil {
+			if _, err := wiretest.Serve(conn, wiretest.Echo); err != nil {
 				return
 			}
 			frames.Add(1)
-			resps := make([]wire.Response, len(reqs))
-			for i, req := range reqs {
-				resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg}
-			}
-			if batched {
-				wire.WriteBatchResponses(conn, resps)
-			} else {
-				wire.WriteResponse(conn, resps[0])
-			}
 		}
 	}
 }
@@ -49,9 +35,6 @@ func TestPipelineBatchFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Batched() {
-		t.Fatal("kx04 hello not negotiated")
-	}
 	var ps []*Pending
 	for i := 1; i <= 4; i++ {
 		p, err := c.Go(wire.KindAdd, 0, int64(i*10), uint64(i))
@@ -77,24 +60,21 @@ func TestPipelineBatchFraming(t *testing.T) {
 	}
 }
 
-func TestPipelineSingleOpStaysPlainFrame(t *testing.T) {
-	// A single-op flush must be byte-identical to the kx03 serialized
-	// client even when the server negotiated batching — the server sees
-	// a plain Request frame, not a 1-op batch.
-	var sawBatch atomic.Bool
+// TestPipelineSingleOpIsOneOpFrame: a serialized exchange is the same
+// request frame as a pipeline, carrying one op.
+func TestPipelineSingleOpIsOneOpFrame(t *testing.T) {
+	var sizes []int
+	var mu sync.Mutex
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
+		wire.WriteHello(conn, wiretest.Hello)
 		for {
-			reqs, batched, err := wire.ReadRequests(conn)
+			reqs, err := wiretest.Serve(conn, wiretest.Echo)
 			if err != nil {
 				return
 			}
-			if batched {
-				sawBatch.Store(true)
-			}
-			for _, req := range reqs {
-				wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
-			}
+			mu.Lock()
+			sizes = append(sizes, len(reqs))
+			mu.Unlock()
 		}
 	})
 	c, err := DialTimeout(addr, 2*time.Second)
@@ -105,51 +85,13 @@ func TestPipelineSingleOpStaysPlainFrame(t *testing.T) {
 	if v, err := c.Add(0, 7); err != nil || v != 7 {
 		t.Fatalf("Add = %d, %v", v, err)
 	}
-	if sawBatch.Load() {
-		t.Fatal("single-op exchange used a batch frame")
-	}
-}
-
-func TestPipelineKx03Fallback(t *testing.T) {
-	// Against a server that never advertised kx04, a pipelined burst
-	// degrades to one plain frame per op — still pipelined (written
-	// back-to-back before any read), never batch-framed.
-	var plainFrames atomic.Int64
-	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		for {
-			req, err := wire.ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			plainFrames.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
-		}
-	})
-	c, err := DialTimeout(addr, 2*time.Second)
-	if err != nil {
+	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Batched() {
-		t.Fatal("batching negotiated against a kx03 hello")
-	}
-	var ps []*Pending
-	for i := 1; i <= 3; i++ {
-		p, err := c.Go(wire.KindAdd, 0, int64(i), uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps = append(ps, p)
-	}
-	for i, p := range ps {
-		resp, err := p.Wait()
-		if err != nil || resp.Value != int64(i+1) {
-			t.Fatalf("op %d: got %d, %v", i, resp.Value, err)
-		}
-	}
-	if got := plainFrames.Load(); got != 3 {
-		t.Fatalf("server saw %d plain frames, want 3", got)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 1 {
+		t.Fatalf("two serialized ops arrived as frames of %v ops, want [1 1]", sizes)
 	}
 }
 
@@ -158,13 +100,13 @@ func TestPipelinePoisonFailsAllPendings(t *testing.T) {
 	// waited-on op succeeds, every later pending fails with ErrBroken,
 	// and new issues are refused.
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
-		reqs, _, err := wire.ReadRequests(conn)
-		if err != nil || len(reqs) == 0 {
+		wire.WriteHello(conn, wiretest.Hello)
+		frame, err := wire.ReadRequestFrame(conn)
+		if err != nil {
 			return
 		}
 		wire.WriteBatchResponses(conn, []wire.Response{
-			{ID: reqs[0].ID, Status: wire.StatusOK, Value: 1},
+			{ID: frame.Reqs[0].ID, Status: wire.StatusOK, Value: 1},
 		})
 		conn.Close()
 	})
@@ -228,26 +170,16 @@ func TestReconnectingPipelineTerminalPerOp(t *testing.T) {
 	// A typed refusal fails only its own op; the rest of the burst
 	// succeeds, and Flush surfaces the failed op's error.
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, kx04Hello())
+		wire.WriteHello(conn, wiretest.Hello)
 		for {
-			reqs, batched, err := wire.ReadRequests(conn)
+			_, err := wiretest.Serve(conn, func(req wire.Request) wire.Response {
+				if req.Arg == 666 {
+					return wire.Response{ID: req.ID, Status: wire.StatusBadShard, Data: []byte("no such shard")}
+				}
+				return wiretest.Echo(req)
+			})
 			if err != nil {
 				return
-			}
-			resps := make([]wire.Response, len(reqs))
-			for i, req := range reqs {
-				if req.Arg == 666 {
-					resps[i] = wire.Response{ID: req.ID, Status: wire.StatusBadShard, Data: []byte("no such shard")}
-				} else {
-					resps[i] = wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg}
-				}
-			}
-			if batched {
-				wire.WriteBatchResponses(conn, resps)
-			} else {
-				for _, resp := range resps {
-					wire.WriteResponse(conn, resp)
-				}
 			}
 		}
 	})

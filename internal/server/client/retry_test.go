@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kexclusion/internal/wire"
+	"kexclusion/internal/wire/wiretest"
 )
 
 // scriptedEndpoint accepts one connection per script entry, running the
@@ -37,19 +38,29 @@ func scriptedEndpoint(t *testing.T, scripts ...func(net.Conn, *atomic.Int64)) (s
 	return ln.Addr().String(), reqs
 }
 
+// answerOps serves request frames until at least n ops have been
+// answered (n < 0: until the peer hangs up), counting each op in reqs
+// before its answer goes out. answer sees the op's 0-based index across
+// frames.
+func answerOps(conn net.Conn, reqs *atomic.Int64, n int, answer func(i int, req wire.Request) wire.Response) {
+	for i := 0; n < 0 || i < n; {
+		_, err := wiretest.Serve(conn, func(req wire.Request) wire.Response {
+			reqs.Add(1)
+			i++
+			return answer(i-1, req)
+		})
+		if err != nil {
+			return
+		}
+	}
+}
+
 // serveOK admits the peer and answers n requests with echo semantics
 // (Value = Arg), then returns (closing the conn).
 func serveOK(n int) func(net.Conn, *atomic.Int64) {
 	return func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		for i := 0; i < n; i++ {
-			req, err := wire.ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			reqs.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
-		}
+		wire.WriteHello(conn, wiretest.Hello)
+		answerOps(conn, reqs, n, func(_ int, req wire.Request) wire.Response { return wiretest.Echo(req) })
 	}
 }
 
@@ -63,15 +74,15 @@ func serveBusy(hintMillis uint32) func(net.Conn, *atomic.Int64) {
 // serveDropAfterRequest admits, reads one request, and closes without
 // answering — the ambiguous transport failure.
 func serveDropAfterRequest(conn net.Conn, reqs *atomic.Int64) {
-	wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-	if _, err := wire.ReadRequest(conn); err == nil {
-		reqs.Add(1)
+	wire.WriteHello(conn, wiretest.Hello)
+	if frame, err := wire.ReadRequestFrame(conn); err == nil {
+		reqs.Add(int64(len(frame.Reqs)))
 	}
 }
 
 func TestSetOpTimeoutPoisonsConnection(t *testing.T) {
 	addr := fakeEndpoint(t, func(conn net.Conn) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+		wire.WriteHello(conn, wiretest.Hello)
 		time.Sleep(5 * time.Second) // never answer
 	})
 	c, err := DialTimeout(addr, 2*time.Second)
@@ -215,23 +226,17 @@ func TestReconnectingRetriesShedOpOnSameConnection(t *testing.T) {
 	const hintMillis = 60
 	addr, reqs := scriptedEndpoint(t,
 		func(conn net.Conn, reqs *atomic.Int64) {
-			wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
+			wire.WriteHello(conn, wiretest.Hello)
 			// First op: shed with a hint in Value. Second op: applied.
-			for i := 0; ; i++ {
-				req, err := wire.ReadRequest(conn)
-				if err != nil {
-					return
-				}
-				reqs.Add(1)
+			answerOps(conn, reqs, -1, func(i int, req wire.Request) wire.Response {
 				if i == 0 {
-					wire.WriteResponse(conn, wire.Response{
+					return wire.Response{
 						ID: req.ID, Status: wire.StatusBusy, Value: hintMillis,
 						Data: []byte("server shedding load"),
-					})
-					continue
+					}
 				}
-				wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
-			}
+				return wiretest.Echo(req)
+			})
 		},
 	)
 	r, err := DialReconnecting(addr, RetryPolicy{Seed: 13, BaseDelay: time.Millisecond}, 2*time.Second)
@@ -268,25 +273,20 @@ func TestReconnectingRetriesWritesWithStableOpID(t *testing.T) {
 	}
 	addr, reqs := scriptedEndpoint(t,
 		func(conn net.Conn, reqs *atomic.Int64) {
-			wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-			if req, err := wire.ReadRequest(conn); err == nil {
-				reqs.Add(1)
-				capture(req)
+			wire.WriteHello(conn, wiretest.Hello)
+			if frame, err := wire.ReadRequestFrame(conn); err == nil {
+				for _, req := range frame.Reqs {
+					reqs.Add(1)
+					capture(req)
+				}
 			}
 		},
 		func(conn net.Conn, reqs *atomic.Int64) {
-			wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-			for {
-				req, err := wire.ReadRequest(conn)
-				if err != nil {
-					return
-				}
-				reqs.Add(1)
+			wire.WriteHello(conn, wiretest.Hello)
+			answerOps(conn, reqs, -1, func(_ int, req wire.Request) wire.Response {
 				capture(req)
-				wire.WriteResponse(conn, wire.Response{
-					ID: req.ID, Status: wire.StatusOK, Flags: wire.FlagDuplicate, Value: 7,
-				})
-			}
+				return wire.Response{ID: req.ID, Status: wire.StatusOK, Flags: wire.FlagDuplicate, Value: 7}
+			})
 		},
 	)
 	r, err := DialReconnecting(addr, RetryPolicy{Seed: 9, BaseDelay: time.Millisecond}, 2*time.Second)
@@ -394,15 +394,10 @@ func TestReconnectingBudgetExhausts(t *testing.T) {
 // cluster redirect carrying hint as the owning primary's address.
 func serveNotPrimary(n int, hint string) func(net.Conn, *atomic.Int64) {
 	return func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		for i := 0; i < n; i++ {
-			req, err := wire.ReadRequest(conn)
-			if err != nil {
-				return
-			}
-			reqs.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(hint)})
-		}
+		wire.WriteHello(conn, wiretest.Hello)
+		answerOps(conn, reqs, n, func(_ int, req wire.Request) wire.Response {
+			return wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(hint)}
+		})
 	}
 }
 
@@ -512,19 +507,13 @@ func TestPipelineFollowsNotPrimaryRedirect(t *testing.T) {
 // answer internal for up to a lease interval before the node demotes.
 func TestReconnectingRetriesInternalOnSameConnection(t *testing.T) {
 	addr, reqs := scriptedEndpoint(t, func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		req, err := wire.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusInternal, Data: []byte("leader lease lost")})
-		req, err = wire.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+		wire.WriteHello(conn, wiretest.Hello)
+		answerOps(conn, reqs, 2, func(i int, req wire.Request) wire.Response {
+			if i == 0 {
+				return wire.Response{ID: req.ID, Status: wire.StatusInternal, Data: []byte("leader lease lost")}
+			}
+			return wiretest.Echo(req)
+		})
 	})
 	r, err := DialReconnecting(addr, RetryPolicy{Seed: 11, MaxAttempts: 3, BaseDelay: time.Millisecond}, time.Second)
 	if err != nil {
@@ -552,21 +541,13 @@ func TestReconnectingRetriesInternalOnSameConnection(t *testing.T) {
 // "try again in a lease interval"), then serves.
 func serveNotPrimaryRetryAfter(n int, millis int64) func(net.Conn, *atomic.Int64) {
 	return func(conn net.Conn, reqs *atomic.Int64) {
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		for i := 0; i < n; i++ {
-			req, err := wire.ReadRequest(conn)
-			if err != nil {
-				return
+		wire.WriteHello(conn, wiretest.Hello)
+		answerOps(conn, reqs, n+1, func(i int, req wire.Request) wire.Response {
+			if i < n {
+				return wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Value: millis}
 			}
-			reqs.Add(1)
-			wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Value: millis})
-		}
-		req, err := wire.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+			return wiretest.Echo(req)
+		})
 	}
 }
 
@@ -618,19 +599,13 @@ func TestReconnectingIgnoresSelfHint(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		wire.WriteHello(conn, wire.Hello{Status: wire.StatusOK, Identity: 0, N: 1, K: 1, Shards: 1})
-		req, err := wire.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(self)})
-		req, err = wire.ReadRequest(conn)
-		if err != nil {
-			return
-		}
-		reqs.Add(1)
-		wire.WriteResponse(conn, wire.Response{ID: req.ID, Status: wire.StatusOK, Value: req.Arg})
+		wire.WriteHello(conn, wiretest.Hello)
+		answerOps(conn, reqs, 2, func(i int, req wire.Request) wire.Response {
+			if i == 0 {
+				return wire.Response{ID: req.ID, Status: wire.StatusNotPrimary, Data: []byte(self)}
+			}
+			return wiretest.Echo(req)
+		})
 	}()
 
 	r, err := DialReconnecting(self, RetryPolicy{Seed: 17, MaxAttempts: 3, BaseDelay: time.Millisecond}, time.Second)

@@ -20,9 +20,6 @@ func TestObjectClassesEndToEnd(t *testing.T) {
 	_, addr, stop := startStoppable(t, cfg)
 	c := dial(t, addr)
 	c.SetSession(0x51e5)
-	if !c.SupportsObjects() {
-		t.Fatal("server hello did not advertise kx05")
-	}
 
 	// Register.
 	if res, err := c.Create("hits", object.TypeRegister, 0); err != nil || !res.Found {

@@ -2,8 +2,7 @@ package server_test
 
 import (
 	"context"
-	"net"
-	"strings"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -13,16 +12,13 @@ import (
 	"kexclusion/internal/wire"
 )
 
-// TestPipelineBatchEndToEnd drives a pipelined burst over a real kx04
+// TestPipelineBatchEndToEnd drives a pipelined burst over a real
 // server: one flush, one durability wait server-side, responses in
 // issue order.
 func TestPipelineBatchEndToEnd(t *testing.T) {
 	_, addr := startServer(t, server.Config{N: 2, K: 2, Shards: 2, DataDir: t.TempDir()})
 	c := dial(t, addr)
 	defer c.Close()
-	if !c.Batched() {
-		t.Fatal("server did not advertise kx04 batching")
-	}
 	const depth = 16
 	var ps []*client.Pending
 	for i := 1; i <= depth; i++ {
@@ -206,50 +202,41 @@ func TestDrainLandsMidBatch(t *testing.T) {
 	}
 }
 
-// TestStockKx03ClientRoundTrips speaks raw kx03 against the kx04
-// server — plain Request frames, Hello.Msg ignored, exactly what a
-// pre-batching client binary does — and must see unchanged behavior.
-func TestStockKx03ClientRoundTrips(t *testing.T) {
-	_, addr := startServer(t, server.Config{N: 2, K: 2, Shards: 2})
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+// TestRetiredRequestFramesRefused speaks the retired request shapes
+// against the server after a valid handshake: the 37-byte kx03 plain
+// request and the kx04 0xB4 batch, each an add of 1 to shard 0. The
+// server applies nothing, hangs up, and reclaims the identity (N=1
+// proves it: the next client is admitted).
+func TestRetiredRequestFramesRefused(t *testing.T) {
+	srv, addr := startServer(t, server.Config{N: 1, K: 1, Shards: 1})
+	plain := binary.BigEndian.AppendUint64(nil, 1) // id
+	plain = append(plain, byte(wire.KindAdd))
+	plain = binary.BigEndian.AppendUint32(plain, 0)      // shard
+	plain = binary.BigEndian.AppendUint64(plain, 1)      // arg
+	plain = binary.BigEndian.AppendUint64(plain, 0x5eed) // session
+	plain = binary.BigEndian.AppendUint64(plain, 1)      // seq
+	batch := append([]byte{0xB4, 0, 0, 0, 1}, plain...)
 
-	hello, err := wire.ReadHello(conn)
-	if err != nil {
-		t.Fatalf("kx03 hello parse: %v", err)
-	}
-	if hello.Status != wire.StatusOK {
-		t.Fatalf("admission refused: %+v", hello)
-	}
-	// The capability token rides in Msg, where a kx03 client that reads
-	// it sees advisory text and nothing else changed.
-	if !strings.Contains(hello.Msg, wire.FeatureBatch) {
-		t.Fatalf("hello.Msg = %q: kx04 capability not advertised", hello.Msg)
-	}
-
-	for i, tc := range []struct {
-		kind wire.Kind
-		arg  int64
-		want int64
-	}{
-		{wire.KindAdd, 41, 41},
-		{wire.KindAdd, 1, 42},
-		{wire.KindGet, 0, 42},
-	} {
-		req := wire.Request{ID: uint64(i + 1), Kind: tc.kind, Shard: 1, Arg: tc.arg, Session: 0x5eed, Seq: uint64(i + 1)}
-		if err := wire.WriteRequest(conn, req); err != nil {
+	for i, payload := range [][]byte{plain, batch} {
+		conn := rawDial(t, addr)
+		if err := wire.WriteFrame(conn, payload); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := wire.ReadResponse(conn)
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if b, err := wire.ReadFrame(conn); err == nil {
+			t.Fatalf("shape %d: server answered a retired request frame: %x", i, b)
 		}
-		if resp.ID != req.ID || resp.Status != wire.StatusOK || resp.Value != tc.want {
-			t.Fatalf("op %d: got %+v, want value %d", i, resp, tc.want)
-		}
+		conn.Close()
+		awaitStats(t, srv, "retired-frame reclaim", func(st wire.Stats) bool {
+			return st.ActiveSessions == 0 && st.Reclaimed >= int64(i+1)
+		})
+	}
+	c := dial(t, addr)
+	defer c.Close()
+	if v, err := c.Get(0); err != nil || v != 0 {
+		t.Fatalf("Get = %d, %v; want 0 (a retired frame changed state)", v, err)
+	}
+	if st := srv.Stats(); st.AppliedDupes != 0 {
+		t.Fatalf("applied_dupes = %d after refused frames", st.AppliedDupes)
 	}
 }

@@ -156,15 +156,15 @@ func TestOversizedFrameTypedReply(t *testing.T) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := wire.ReadResponse(conn)
+	br, err := wire.ReadBatchResponse(conn)
 	if err != nil {
 		t.Fatalf("no typed reply before hangup: %v", err)
 	}
-	if resp.Status != wire.StatusBadRequest {
-		t.Fatalf("status %v, want bad_request", resp.Status)
+	if len(br.Resps) != 1 || br.Resps[0].Status != wire.StatusBadRequest {
+		t.Fatalf("reply %+v, want one bad_request", br.Resps)
 	}
 	// After the refusal the server hangs up...
-	if _, err := wire.ReadResponse(conn); err == nil {
+	if _, err := wire.ReadFrame(conn); err == nil {
 		t.Fatal("connection still open after oversized frame")
 	}
 	// ...and the identity is back in the pool (N=1 proves it).

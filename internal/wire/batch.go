@@ -1,120 +1,207 @@
-// Batch frames are the kx04 extension of the protocol: request
-// pipelining with multi-op framing.
+// Request and response frames. The client sends every operation in an
+// ObjBatch frame and the server answers every ObjBatch with
+// BatchResponse frames; there is no other shape on the client
+// connection after the Hello.
 //
-// kx04 is a strict superset of kx03 negotiated in the Hello. The Hello
-// frame layout (magic included) is unchanged — a kx03 client parses a
-// kx04 server's Hello bit-for-bit — and the server advertises the
-// extension by carrying the FeatureBatch token in the Hello's Msg
-// field, which kx03 clients ignore on an OK hello. A client that saw
-// the token may then pack up to MaxBatchOps operations into a single
-// BatchRequest frame; one that didn't (or a stock kx03 client) keeps
-// sending plain Request frames, which the server still accepts.
+//   - 0xC1 ObjBatch: a pipeline of 1 to MaxBatchOps operations. Object
+//     kinds carry a name (and a key for maps); root-register and
+//     control kinds (get, add, set, ping, stats) leave name, key and
+//     Arg2 empty. A one-op flush is a one-op frame.
+//   - 0xC2 atomic ObjBatch: up to MaxAtomicOps mutations applied
+//     all-or-nothing across shards — either every member commits under
+//     one WAL record or every member answers StatusAtomicAbort and no
+//     object is touched.
+//   - 0xB5 BatchResponse: the responses to one ObjBatch, in request
+//     order. A response set too large for one frame (stats payloads)
+//     is split across several BatchResponse frames; the client consumes
+//     them by count, not by frame.
 //
-// Framing is mirrored: the server answers a plain Request frame with a
-// plain Response frame and a BatchRequest frame with BatchResponse
-// frames carrying exactly that batch's responses in order (split
-// across several BatchResponse frames only when the encoded responses
-// would exceed MaxFrame). A client therefore always knows the shape of
-// the next response frame from the shape of what it sent, and the two
-// shapes can never be confused on the wire anyway: a Request payload
-// is exactly requestLen bytes while a BatchRequest payload is
-// 5+requestLen·n bytes, and both batch payloads open with a marker
-// byte checked on decode.
+// Ordering and acknowledgement guarantees are per operation: operations
+// apply in the order sent on the connection, every response carries its
+// request's ID, and a mutation is acknowledged only at the configured
+// durability point. Batching changes the cost: the server drains a
+// whole pipeline, funnels its WAL appends into one group-commit wait
+// (one fsync can acknowledge the entire batch under -fsync always), and
+// flushes all responses in one write.
 //
-// Ordering and acknowledgement guarantees are per-operation and
-// unchanged from kx03: operations apply in the order sent on the
-// connection, every response carries its request's ID, and a mutation
-// is acknowledged only at the configured durability point. What
-// batching changes is the cost: the server drains a whole pipeline,
-// funnels its WAL appends into one group-commit wait (one fsync can
-// acknowledge the entire batch under -fsync always), and flushes all
-// responses in one write.
+// The op encoding is self-describing: a fixed header carrying every
+// numeric field plus name/key lengths, then the name and key bytes.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
+
+	"kexclusion/internal/object"
 )
 
-// FeatureBatch is the capability token a kx04 server puts in the Msg
-// field of an admission (StatusOK) Hello. Msg is a space-separated
-// token list on OK hellos; kx03 clients ignore it, kx04 clients switch
-// to batch framing when the token is present.
-const FeatureBatch = "kx04"
-
-// MaxBatchOps bounds the operations in one BatchRequest frame (and the
+// MaxBatchOps bounds the operations in one ObjBatch frame (and the
 // responses in one BatchResponse frame). A peer announcing more is
 // treated as corrupt, like an oversized frame.
 const MaxBatchOps = 1024
 
-// Batch payload markers. A marker byte opens every batch payload so a
-// decoder never mistakes one for a single-op payload (defense in depth
-// on top of the length discrimination above).
+// MaxAtomicOps bounds the operations in one atomic group — small by
+// design, because the server holds every touched shard exclusively for
+// the group's duration.
+const MaxAtomicOps = object.MaxAtomicOps
+
+// Payload markers: the first byte of every request and response frame.
 const (
-	batchReqMarker  = 0xB4
+	objBatchMarker  = 0xC1
+	objAtomicMarker = 0xC2
 	batchRespMarker = 0xB5
 )
 
-// SupportsBatch reports whether an admission hello advertises the kx04
-// batch extension.
-func (h Hello) SupportsBatch() bool {
-	if h.Status != StatusOK {
-		return false
-	}
-	for _, tok := range strings.Fields(h.Msg) {
-		if tok == FeatureBatch {
-			return true
+// objOpFixedLen is the fixed header of one op inside an object frame:
+// id + kind + shard + arg + session + seq + arg2 + nameLen + keyLen.
+const objOpFixedLen = 8 + 1 + 4 + 8 + 8 + 8 + 8 + 1 + 2
+
+// validateObjFields checks the object fields against the object caps.
+// Object kinds require a name; root-register and control kinds must
+// leave name, key and arg2 zero so their encoding stays canonical.
+func validateObjFields(r Request) error {
+	if r.Kind.IsObject() {
+		if len(r.Obj) == 0 || len(r.Obj) > object.MaxNameLen {
+			return fmt.Errorf("wire: object name of %d bytes outside [1,%d]", len(r.Obj), object.MaxNameLen)
 		}
+	} else if r.Obj != "" || r.Key != "" || r.Arg2 != 0 {
+		return fmt.Errorf("wire: %s op carries object fields", r.Kind)
 	}
-	return false
+	if len(r.Key) > object.MaxKeyLen {
+		return fmt.Errorf("wire: object key of %d bytes exceeds %d", len(r.Key), object.MaxKeyLen)
+	}
+	return nil
 }
 
-// BatchRequest is a pipeline of operations in one frame.
-type BatchRequest struct {
+// appendObjOp serializes one op in the object encoding.
+func appendObjOp(b []byte, r Request) []byte {
+	b = binary.BigEndian.AppendUint64(b, r.ID)
+	b = append(b, byte(r.Kind))
+	b = binary.BigEndian.AppendUint32(b, r.Shard)
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Arg))
+	b = binary.BigEndian.AppendUint64(b, r.Session)
+	b = binary.BigEndian.AppendUint64(b, r.Seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Arg2))
+	b = append(b, byte(len(r.Obj)))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Key)))
+	b = append(b, r.Obj...)
+	return append(b, r.Key...)
+}
+
+// parseObjOp decodes one op in the object encoding, returning the
+// bytes consumed.
+func parseObjOp(b []byte) (Request, int, error) {
+	if len(b) < objOpFixedLen {
+		return Request{}, 0, fmt.Errorf("wire: object op truncated (%d bytes)", len(b))
+	}
+	r := Request{
+		ID:      binary.BigEndian.Uint64(b[0:]),
+		Kind:    Kind(b[8]),
+		Shard:   binary.BigEndian.Uint32(b[9:]),
+		Arg:     int64(binary.BigEndian.Uint64(b[13:])),
+		Session: binary.BigEndian.Uint64(b[21:]),
+		Seq:     binary.BigEndian.Uint64(b[29:]),
+		Arg2:    int64(binary.BigEndian.Uint64(b[37:])),
+	}
+	nameLen, keyLen := int(b[45]), int(binary.BigEndian.Uint16(b[46:]))
+	n := objOpFixedLen + nameLen + keyLen
+	if len(b) < n {
+		return Request{}, 0, fmt.Errorf("wire: object op declares %d name+key bytes, has %d", nameLen+keyLen, len(b)-objOpFixedLen)
+	}
+	r.Obj = string(b[objOpFixedLen : objOpFixedLen+nameLen])
+	r.Key = string(b[objOpFixedLen+nameLen : n])
+	if err := validateObjFields(r); err != nil {
+		return Request{}, 0, err
+	}
+	return r, n, nil
+}
+
+// ObjBatch is the request frame: a pipeline (or, when Atomic, an
+// all-or-nothing group) of operations.
+type ObjBatch struct {
 	Reqs []Request
+	// Atomic selects the 0xC2 all-or-nothing group encoding: every
+	// member must be a dedup-eligible mutation and the count is capped
+	// at MaxAtomicOps instead of MaxBatchOps.
+	Atomic bool
 }
 
-// Encode serializes the batch payload: marker, count, then the fixed-
-// width request encodings back to back.
-func (b BatchRequest) Encode() []byte {
-	out := make([]byte, 5, 5+len(b.Reqs)*requestLen)
-	out[0] = batchReqMarker
-	binary.BigEndian.PutUint32(out[1:], uint32(len(b.Reqs)))
-	for _, r := range b.Reqs {
-		out = append(out, r.Encode()...)
+// batchCap is the op-count cap of a batch flavor.
+func batchCap(atomic bool) int {
+	if atomic {
+		return MaxAtomicOps
 	}
-	return out
+	return MaxBatchOps
 }
 
-// ParseBatchRequest decodes a batch request payload.
-func ParseBatchRequest(b []byte) (BatchRequest, error) {
-	if len(b) < 5 || b[0] != batchReqMarker {
-		return BatchRequest{}, fmt.Errorf("wire: not a batch request payload")
+// Encode serializes the batch payload: marker, count, then the
+// self-describing op encodings back to back.
+func (ob ObjBatch) Encode() ([]byte, error) {
+	marker := byte(objBatchMarker)
+	if ob.Atomic {
+		marker = objAtomicMarker
 	}
-	n := binary.BigEndian.Uint32(b[1:])
-	if n == 0 || n > MaxBatchOps {
-		return BatchRequest{}, fmt.Errorf("wire: batch of %d ops outside [1,%d]", n, MaxBatchOps)
+	if cap := batchCap(ob.Atomic); len(ob.Reqs) == 0 || len(ob.Reqs) > cap {
+		return nil, fmt.Errorf("wire: object batch of %d ops outside [1,%d]", len(ob.Reqs), cap)
 	}
-	if int(n)*requestLen != len(b)-5 {
-		return BatchRequest{}, fmt.Errorf("wire: batch declares %d ops (%d bytes), has %d bytes", n, int(n)*requestLen, len(b)-5)
-	}
-	reqs := make([]Request, n)
-	for i := range reqs {
-		r, err := ParseRequest(b[5+i*requestLen : 5+(i+1)*requestLen])
-		if err != nil {
-			return BatchRequest{}, err
+	out := make([]byte, 3, 3+len(ob.Reqs)*(objOpFixedLen+16))
+	out[0] = marker
+	binary.BigEndian.PutUint16(out[1:], uint16(len(ob.Reqs)))
+	for _, r := range ob.Reqs {
+		if err := validateObjFields(r); err != nil {
+			return nil, err
 		}
-		reqs[i] = r
+		out = appendObjOp(out, r)
 	}
-	return BatchRequest{Reqs: reqs}, nil
+	return out, nil
 }
 
-// BatchResponse answers (part of) a BatchRequest: responses in request
-// order, each length-prefixed because Data makes them variable-width.
+// ParseRequestFrame decodes a request payload of either flavor.
+func ParseRequestFrame(b []byte) (ObjBatch, error) {
+	if len(b) < 3 || (b[0] != objBatchMarker && b[0] != objAtomicMarker) {
+		return ObjBatch{}, fmt.Errorf("wire: not an object batch payload (%d bytes)", len(b))
+	}
+	ob := ObjBatch{Atomic: b[0] == objAtomicMarker}
+	n := int(binary.BigEndian.Uint16(b[1:]))
+	if cap := batchCap(ob.Atomic); n == 0 || n > cap {
+		return ObjBatch{}, fmt.Errorf("wire: object batch of %d ops outside [1,%d]", n, cap)
+	}
+	ob.Reqs = make([]Request, 0, n)
+	off := 3
+	for i := 0; i < n; i++ {
+		r, used, err := parseObjOp(b[off:])
+		if err != nil {
+			return ObjBatch{}, fmt.Errorf("wire: object batch op %d: %w", i, err)
+		}
+		ob.Reqs = append(ob.Reqs, r)
+		off += used
+	}
+	if off != len(b) {
+		return ObjBatch{}, fmt.Errorf("wire: object batch has %d trailing bytes", len(b)-off)
+	}
+	return ob, nil
+}
+
+// ReadRequestFrame reads and decodes one request frame.
+func ReadRequestFrame(r io.Reader) (ObjBatch, error) {
+	b, err := ReadFrame(r)
+	if err != nil {
+		return ObjBatch{}, err
+	}
+	return ParseRequestFrame(b)
+}
+
+// BatchResponse is the response frame: responses in request order,
+// each length-prefixed because Data makes them variable-width.
 type BatchResponse struct {
 	Resps []Response
+}
+
+// appendResp appends one length-prefixed response encoding.
+func appendResp(b, enc []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(enc)))
+	return append(b, enc...)
 }
 
 // Encode serializes the batch response payload.
@@ -122,11 +209,7 @@ func (b BatchResponse) Encode() []byte {
 	out := []byte{batchRespMarker, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(out[1:], uint32(len(b.Resps)))
 	for _, r := range b.Resps {
-		enc := r.Encode()
-		var ln [4]byte
-		binary.BigEndian.PutUint32(ln[:], uint32(len(enc)))
-		out = append(out, ln[:]...)
-		out = append(out, enc...)
+		out = appendResp(out, r.Encode())
 	}
 	return out
 }
@@ -164,39 +247,6 @@ func ParseBatchResponse(b []byte) (BatchResponse, error) {
 	return BatchResponse{Resps: resps}, nil
 }
 
-// ParseAnyRequest decodes a request payload of either shape: a plain
-// kx03 Request (batched false) or a kx04 BatchRequest (batched true).
-// The shapes cannot collide — a plain request is exactly requestLen
-// bytes, a batch is 5+requestLen·n — and the marker byte is checked
-// besides.
-func ParseAnyRequest(b []byte) (reqs []Request, batched bool, err error) {
-	if len(b) == requestLen {
-		r, err := ParseRequest(b)
-		if err != nil {
-			return nil, false, err
-		}
-		return []Request{r}, false, nil
-	}
-	br, err := ParseBatchRequest(b)
-	if err != nil {
-		return nil, false, err
-	}
-	return br.Reqs, true, nil
-}
-
-// ReadRequests reads one frame and decodes it as a plain Request or a
-// BatchRequest, returning the operations in order.
-func ReadRequests(r io.Reader) (reqs []Request, batched bool, err error) {
-	b, err := ReadFrame(r)
-	if err != nil {
-		return nil, false, err
-	}
-	return ParseAnyRequest(b)
-}
-
-// WriteBatchRequest frames and writes one batch request.
-func WriteBatchRequest(w io.Writer, b BatchRequest) error { return WriteFrame(w, b.Encode()) }
-
 // ReadBatchResponse reads and decodes one batch response frame.
 func ReadBatchResponse(r io.Reader) (BatchResponse, error) {
 	b, err := ReadFrame(r)
@@ -206,11 +256,10 @@ func ReadBatchResponse(r io.Reader) (BatchResponse, error) {
 	return ParseBatchResponse(b)
 }
 
-// WriteBatchResponses frames and writes responses for one inbound
-// batch, splitting into several BatchResponse frames only when the
+// WriteBatchResponses frames and writes the responses to one request
+// frame, splitting into several BatchResponse frames only when the
 // encoded responses would overflow MaxFrame (stats payloads can be
-// large). Responses stay in order across the split; the client
-// consumes them by count, not by frame.
+// large). Responses stay in order across the split.
 func WriteBatchResponses(w io.Writer, resps []Response) error {
 	enc := make([][]byte, len(resps))
 	for i, r := range resps {
@@ -230,10 +279,7 @@ func WriteBatchResponses(w io.Writer, resps []Response) error {
 		out[0] = batchRespMarker
 		binary.BigEndian.PutUint32(out[1:], uint32(n))
 		for _, e := range enc[:n] {
-			var ln [4]byte
-			binary.BigEndian.PutUint32(ln[:], uint32(len(e)))
-			out = append(out, ln[:]...)
-			out = append(out, e...)
+			out = appendResp(out, e)
 		}
 		if err := WriteFrame(w, out); err != nil {
 			return err
@@ -241,4 +287,26 @@ func WriteBatchResponses(w io.Writer, resps []Response) error {
 		enc = enc[n:]
 	}
 	return nil
+}
+
+// EncodeSlots serializes a snapshot scan result (8 bytes per slot),
+// the Data payload of a KindSnapScan response.
+func EncodeSlots(slots []int64) []byte {
+	b := make([]byte, 0, len(slots)*8)
+	for _, v := range slots {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// DecodeSlots deserializes a snapshot scan Data payload.
+func DecodeSlots(b []byte) ([]int64, error) {
+	if len(b)%8 != 0 {
+		return nil, fmt.Errorf("wire: snapshot scan payload of %d bytes is not a multiple of 8", len(b))
+	}
+	slots := make([]int64, len(b)/8)
+	for i := range slots {
+		slots[i] = int64(binary.BigEndian.Uint64(b[i*8:]))
+	}
+	return slots, nil
 }

@@ -34,13 +34,12 @@ import (
 	"kexclusion/internal/durable"
 )
 
-// ReplMagic opens a ReplHello ("kxr3"); bump the digit on incompatible
-// change — kxr1→kxr2 added per-shard epochs to records and frontiers,
-// kxr2→kxr3 switched pull batches from fixed-width register records to
-// the durable record codec so object and atomic records replicate.
-// Distinct from Magic so a client dialing the repl port (or a follower
-// dialing the client port) fails loudly at the handshake.
-const ReplMagic uint32 = 0x6b787233
+// ReplMagic opens a ReplHello ("kxr4"); bump the digit on incompatible
+// change. Pull batches ship durable record bodies, so a change to the
+// WAL record layout is a change to this dialect. Distinct from Magic so
+// a client dialing the repl port (or a follower dialing the client
+// port) fails loudly at the handshake.
+const ReplMagic uint32 = 0x6b787234
 
 // MaxReplFrame bounds a replication frame. Sized for a full state
 // image (durable caps snapshot bodies at 64 MiB) plus headroom.
@@ -157,10 +156,10 @@ type FrontierResponse struct {
 }
 
 // replRecordOverhead is the per-record length prefix in a pull batch.
-// Since kxr3, records travel as [u32 len][durable record body] using
-// the same body codec as the WAL (durable.EncodeRecordBody), so
-// variable-width object and atomic records replicate verbatim and a
-// follower appends exactly the bytes the primary logged.
+// Records travel as [u32 len][durable record body] using the same body
+// codec as the WAL (durable.EncodeRecordBody), so variable-width object
+// and atomic records replicate verbatim and a follower appends exactly
+// the bytes the primary logged.
 const replRecordOverhead = 4
 
 // Encode serializes the repl hello payload.

@@ -13,6 +13,8 @@ import (
 )
 
 func TestRequestRoundTrip(t *testing.T) {
+	// Root-register and control kinds travel in the one request frame
+	// with empty object fields.
 	cases := []Request{
 		{ID: 0, Kind: KindPing},
 		{ID: 1, Kind: KindGet, Shard: 3},
@@ -25,14 +27,18 @@ func TestRequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	for _, want := range cases {
 		buf.Reset()
-		if err := WriteRequest(&buf, want); err != nil {
+		payload, err := ObjBatch{Reqs: []Request{want}}.Encode()
+		if err != nil {
+			t.Fatalf("encode %+v: %v", want, err)
+		}
+		if err := WriteFrame(&buf, payload); err != nil {
 			t.Fatalf("write %+v: %v", want, err)
 		}
-		got, err := ReadRequest(&buf)
+		got, err := ReadRequestFrame(&buf)
 		if err != nil {
 			t.Fatalf("read %+v: %v", want, err)
 		}
-		if got != want {
+		if got.Atomic || len(got.Reqs) != 1 || got.Reqs[0] != want {
 			t.Errorf("round trip: got %+v, want %+v", got, want)
 		}
 	}
@@ -49,13 +55,14 @@ func TestResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	for _, want := range cases {
 		buf.Reset()
-		if err := WriteResponse(&buf, want); err != nil {
+		if err := WriteBatchResponses(&buf, []Response{want}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		got, err := ReadResponse(&buf)
-		if err != nil {
-			t.Fatalf("read: %v", err)
+		br, err := ReadBatchResponse(&buf)
+		if err != nil || len(br.Resps) != 1 {
+			t.Fatalf("read: %+v %v", br, err)
 		}
+		got := br.Resps[0]
 		if got.ID != want.ID || got.Status != want.Status || got.Flags != want.Flags || got.Value != want.Value || !bytes.Equal(got.Data, want.Data) {
 			t.Errorf("round trip: got %+v, want %+v", got, want)
 		}
@@ -86,11 +93,13 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloRejectsBadMagic(t *testing.T) {
-	h := Hello{Status: StatusOK}
-	b := h.Encode()
-	binary.BigEndian.PutUint32(b[0:], 0xdeadbeef)
-	if _, err := ParseHello(b); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("want magic error, got %v", err)
+	// 0x6b783033 is "kx03", the magic of the retired protocol versions.
+	for _, magic := range []uint32{0xdeadbeef, 0x6b783033} {
+		b := Hello{Status: StatusOK}.Encode()
+		binary.BigEndian.PutUint32(b[0:], magic)
+		if _, err := ParseHello(b); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("magic %#x: want magic error, got %v", magic, err)
+		}
 	}
 }
 
@@ -117,7 +126,7 @@ func TestFrameLimits(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := ParseRequest(make([]byte, 5)); err == nil {
+	if _, err := ParseRequestFrame(make([]byte, 5)); err == nil {
 		t.Error("short request accepted")
 	}
 	if _, err := ParseResponse(make([]byte, 5)); err == nil {
